@@ -15,8 +15,6 @@ fan and colour the last rotated edge ``d``.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..graphs.graph import Graph
 
 __all__ = ["misra_gries_edge_colouring"]
@@ -26,15 +24,17 @@ class _ColouringState:
     """Mutable edge-colouring state with per-vertex colour→edge lookup."""
 
     def __init__(self, graph: Graph, num_colours: int):
-        self.graph = graph
         self.num_colours = num_colours
+        self.edge_u: list[int] = graph.edge_u.tolist()
+        self.edge_v: list[int] = graph.edge_v.tolist()
         self.colour: list[int | None] = [None] * graph.num_edges
         # at[v][c] = edge id of the edge at v coloured c (if any)
         self.at: list[dict[int, int]] = [dict() for _ in range(graph.num_vertices)]
-        self.edge_index = _build_edge_index(graph)
+        # incident[v] = {w: edge id of vw}, inserted in CSR adjacency order
+        self.incident = _build_incident(graph)
 
     def edge_between(self, u: int, v: int) -> int:
-        return self.edge_index[(u, v)]
+        return self.incident[u][v]
 
     def is_free(self, vertex: int, colour: int) -> bool:
         return colour not in self.at[vertex]
@@ -46,7 +46,7 @@ class _ColouringState:
         raise RuntimeError("no free colour available — should be impossible with ∆+1 colours")
 
     def set_colour(self, edge: int, colour: int) -> None:
-        u, v = self.graph.edge_endpoints(edge)
+        u, v = self.edge_u[edge], self.edge_v[edge]
         old = self.colour[edge]
         if old is not None:
             self.at[u].pop(old, None)
@@ -56,7 +56,7 @@ class _ColouringState:
         self.at[v][colour] = edge
 
     def uncolour(self, edge: int) -> None:
-        u, v = self.graph.edge_endpoints(edge)
+        u, v = self.edge_u[edge], self.edge_v[edge]
         old = self.colour[edge]
         if old is not None:
             self.at[u].pop(old, None)
@@ -64,39 +64,40 @@ class _ColouringState:
         self.colour[edge] = None
 
 
-def _build_edge_index(graph: Graph) -> dict[tuple[int, int], int]:
-    """Map ordered endpoint pairs to edge ids for O(1) lookup."""
-    index: dict[tuple[int, int], int] = {}
-    for e in range(graph.num_edges):
-        u, v = graph.edge_endpoints(e)
-        index[(u, v)] = e
-        index[(v, u)] = e
-    return index
+def _build_incident(graph: Graph) -> list[dict[int, int]]:
+    """Per-vertex ``{neighbour: edge id}`` dicts built from the CSR adjacency and incidence."""
+    indptr, neighbours = graph.adjacency()
+    _, edge_ids = graph.incidence()
+    bounds, ws, es = indptr.tolist(), neighbours.tolist(), edge_ids.tolist()
+    return [dict(zip(ws[lo:hi], es[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _build_fan(state: _ColouringState, u: int, v: int) -> list[int]:
-    """Maximal fan of ``u`` starting at ``v``: successive edge colours are free on the previous fan vertex."""
-    graph = state.graph
+    """Maximal fan of ``u`` starting at ``v``: successive edge colours are free on the previous fan vertex.
+
+    Each extension appends the first neighbour ``w`` of ``u`` in CSR order
+    that is not yet in the fan and whose edge ``uw`` is coloured with a
+    colour free at the current last fan vertex; the scan then restarts,
+    because the qualifying set depends on the new last vertex.  Restarts
+    are cheap: the scan walks ``u``'s ``{neighbour: edge}`` dict (whose
+    insertion order is the CSR order) with the colour and free checks
+    inlined, so no probe slices an array or calls a method.
+    """
+    colour, at = state.colour, state.at
+    neighbours = state.incident[u].items()
     fan = [v]
     in_fan = {v}
-    extended = True
-    while extended:
-        extended = False
-        last = fan[-1]
-        for w in graph.neighbors(u):
-            w = int(w)
-            if w in in_fan:
-                continue
-            e = state.edge_between(u, w)
-            colour = state.colour[e]
-            if colour is None:
-                continue
-            if state.is_free(last, colour):
-                fan.append(w)
-                in_fan.add(w)
-                extended = True
+    last_colours = at[v]
+    while True:
+        for w, e in neighbours:
+            c = colour[e]
+            if c is not None and c not in last_colours and w not in in_fan:
                 break
-    return fan
+        else:
+            return fan
+        fan.append(w)
+        in_fan.add(w)
+        last_colours = at[w]
 
 
 def _invert_cd_path(state: _ColouringState, u: int, c: int, d: int) -> None:
@@ -116,7 +117,7 @@ def _invert_cd_path(state: _ColouringState, u: int, c: int, d: int) -> None:
         if edge is None or edge == previous_edge:
             break
         path.append(edge)
-        a, b = state.graph.edge_endpoints(edge)
+        a, b = state.edge_u[edge], state.edge_v[edge]
         current = b if a == current else a
         colour = c if colour == d else d
         previous_edge = edge
@@ -145,8 +146,7 @@ def misra_gries_edge_colouring(graph: Graph) -> dict[int, int]:
     delta = graph.max_degree()
     state = _ColouringState(graph, delta + 1)
 
-    for edge in range(m):
-        u, v = graph.edge_endpoints(edge)
+    for edge, (u, v) in enumerate(zip(state.edge_u, state.edge_v)):
         fan = _build_fan(state, u, v)
         c = state.first_free(u)
         d = state.first_free(fan[-1])
