@@ -122,11 +122,10 @@ def _element_loads(instance: SetCoverInstance, params: MPCParameters) -> np.ndar
     Each element ``j`` stores its dual list ``T_j`` (``|T_j|`` words) plus an
     alive bit.
     """
-    loads = np.zeros(params.num_machines, dtype=np.int64)
-    for j in range(instance.num_elements):
-        machine = min(params.num_machines - 1, j // params.eta)
-        loads[machine] += instance.sets_containing(j).size + 1
-    return loads
+    indptr, _ = instance.element_incidence()
+    machines = np.minimum(np.arange(instance.num_elements) // params.eta, params.num_machines - 1)
+    words = np.bincount(machines, weights=np.diff(indptr) + 1, minlength=params.num_machines)
+    return words.astype(np.int64)
 
 
 def mpc_weighted_set_cover(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..kernels.csr import stable_argsort_ids
 from .graph import Graph
 
 __all__ = [
@@ -65,6 +66,39 @@ def edge_count_for_exponent(num_vertices: int, c: float) -> int:
     return max(0, min(m, max_edges))
 
 
+def _edge_keys(us: np.ndarray, vs: np.ndarray, n: int) -> np.ndarray:
+    """Keys ``min * n + max`` of the drawn pairs ``(us[i], vs[i])``, self-loops dropped.
+
+    A function of its own so that its temporaries are freed before the
+    caller sorts the keys, which keeps the sampler's peak memory down.
+    """
+    lo = np.minimum(us, vs)
+    hi = np.maximum(us, vs)
+    return (lo * n + hi)[lo != hi]
+
+
+def _append_distinct_keys(
+    keys: np.ndarray, us: np.ndarray, vs: np.ndarray, n: int, limit: int
+) -> np.ndarray:
+    """Extend the accepted edge keys with one batch of endpoint draws.
+
+    A drawn key is accepted at its first occurrence in ``keys`` followed by
+    the batch, in draw order, until ``limit`` keys are held — exactly the
+    pairs a draw-by-draw accept-unless-seen loop takes.  First occurrences
+    come from one stable radix order of the combined keys: within a run of
+    equal keys the first entry has the smallest position.
+    """
+    combined = np.concatenate([keys, _edge_keys(us, vs, n)])
+    order = stable_argsort_ids(combined, n * n)
+    ranked = combined[order]
+    run_start = np.ones(combined.size, dtype=bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=run_start[1:])
+    first = np.zeros(combined.size, dtype=bool)
+    first[order[run_start]] = True
+    accepted = combined[keys.size :][first[keys.size :]]
+    return np.concatenate([keys, accepted[: limit - keys.size]])
+
+
 def _sample_distinct_edges(
     num_vertices: int, num_edges: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -84,27 +118,13 @@ def _sample_distinct_edges(
         iu, iv = np.triu_indices(n, k=1)
         chosen = rng.choice(len(iu), size=num_edges, replace=False)
         return np.column_stack([iu[chosen], iv[chosen]]).astype(np.int64)
-    keys: set[int] = set()
-    edges = np.empty((num_edges, 2), dtype=np.int64)
-    count = 0
-    while count < num_edges:
-        batch = max(1024, 2 * (num_edges - count))
+    keys = np.empty(0, dtype=np.int64)
+    while keys.size < num_edges:
+        batch = max(1024, 2 * (num_edges - keys.size))
         u = rng.integers(0, n, size=batch)
         v = rng.integers(0, n, size=batch)
-        for a, b in zip(u, v):
-            if a == b:
-                continue
-            lo, hi = (a, b) if a < b else (b, a)
-            key = int(lo) * n + int(hi)
-            if key in keys:
-                continue
-            keys.add(key)
-            edges[count, 0] = lo
-            edges[count, 1] = hi
-            count += 1
-            if count == num_edges:
-                break
-    return edges
+        keys = _append_distinct_keys(keys, u, v, n, num_edges)
+    return np.column_stack(np.divmod(keys, n))
 
 
 def gnm_graph(
@@ -178,27 +198,16 @@ def power_law_graph(
     ranks = np.arange(1, n + 1, dtype=np.float64)
     target = ranks ** (-1.0 / (exponent - 1.0))
     probs = target / target.sum()
-    keys: set[int] = set()
-    edges: list[tuple[int, int]] = []
+    keys = np.empty(0, dtype=np.int64)
     max_attempts = 50 * num_edges + 1000
     attempts = 0
-    while len(edges) < num_edges and attempts < max_attempts:
-        batch = max(1024, 2 * (num_edges - len(edges)))
+    while keys.size < num_edges and attempts < max_attempts:
+        batch = max(1024, 2 * (num_edges - keys.size))
         us = rng.choice(n, size=batch, p=probs)
         vs = rng.choice(n, size=batch, p=probs)
         attempts += batch
-        for a, b in zip(us, vs):
-            if a == b:
-                continue
-            lo, hi = (int(a), int(b)) if a < b else (int(b), int(a))
-            key = lo * n + hi
-            if key in keys:
-                continue
-            keys.add(key)
-            edges.append((lo, hi))
-            if len(edges) == num_edges:
-                break
-    edge_arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        keys = _append_distinct_keys(keys, us, vs, n, num_edges)
+    edge_arr = np.column_stack(np.divmod(keys, n))
     w = None
     if weights is not None:
         w = random_weights(len(edge_arr), rng, distribution=weights, weight_range=weight_range)

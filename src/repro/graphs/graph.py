@@ -16,6 +16,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from ..kernels.csr import stable_argsort_ids
+
 __all__ = ["Graph"]
 
 
@@ -191,19 +193,15 @@ class Graph:
         if self._adj_indptr is not None:
             return
         n, m = self._n, self.num_edges
-        # Every edge contributes two half-edges.
-        src = np.concatenate([self._u, self._v]) if m else np.empty(0, dtype=np.int64)
-        dst = np.concatenate([self._v, self._u]) if m else np.empty(0, dtype=np.int64)
-        eid = np.concatenate([np.arange(m), np.arange(m)]) if m else np.empty(0, dtype=np.int64)
-        order = np.argsort(src, kind="stable")
-        src, dst, eid = src[order], dst[order], eid[order]
+        # Every edge contributes two half-edges; half-edge h is edge h mod m.
+        src = np.concatenate([self._u, self._v])
+        dst = np.concatenate([self._v, self._u])
+        order = stable_argsort_ids(src, n)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        if m:
-            counts = np.bincount(src, minlength=n)
-            indptr[1:] = np.cumsum(counts)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         self._adj_indptr = indptr
-        self._adj_indices = dst.astype(np.int64)
-        self._adj_edge_ids = eid.astype(np.int64)
+        self._adj_indices = dst[order]
+        self._adj_edge_ids = (order % max(m, 1)).astype(np.int64, copy=False)
 
     def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
         """The CSR adjacency pair: ``indices[indptr[v]:indptr[v+1]]`` are ``N(v)``.

@@ -156,62 +156,55 @@ def is_maximal_clique(graph: Graph, vertices: Iterable[int]) -> bool:
     vset = _as_vertex_set(vertices)
     if not is_clique(graph, vset):
         return False
-    k = len(vset)
-    mask = np.zeros(graph.num_vertices, dtype=bool)
+    n = graph.num_vertices
+    mask = np.zeros(n, dtype=bool)
     if vset:
         mask[np.fromiter(vset, dtype=np.int64)] = True
-    for candidate in range(graph.num_vertices):
-        if mask[candidate]:
-            continue
-        neighbours = graph.neighbors(candidate)
-        if neighbours.size and int(np.sum(mask[neighbours])) == k and k > 0:
-            return False
-        if k == 0:
-            # Empty "clique" is never maximal in a non-empty graph.
-            return False
-    return True
+    # Number of clique members each vertex neighbours; an outside vertex
+    # adjacent to all ``k`` of them extends the clique (for ``k = 0`` every
+    # vertex extends the empty clique, so it is maximal only when n = 0).
+    u, v = graph.edge_u, graph.edge_v
+    clique_neighbours = np.bincount(u[mask[v]], minlength=n) + np.bincount(v[mask[u]], minlength=n)
+    return not bool(np.any(clique_neighbours[~mask] == len(vset)))
 
 
 # --------------------------------------------------------------------------- #
 # Colourings
 # --------------------------------------------------------------------------- #
+def _colour_codes(colours: Mapping[int, object] | Sequence[object], count: int) -> np.ndarray | None:
+    """Integer codes of the colours of items ``0 .. count-1``.
+
+    Colours that are equal as set members share a code.  Returns ``None``
+    when an item has no colour or the colour ``None``.
+    """
+    if isinstance(colours, Mapping):
+        values = [colours.get(i) for i in range(count)]
+    elif len(colours) < count:
+        return None
+    else:
+        values = [colours[i] for i in range(count)]
+    codes: dict[object, int] = {}
+    coded = np.fromiter(
+        (codes.setdefault(colour, len(codes)) for colour in values), dtype=np.int64, count=count
+    )
+    return None if None in codes else coded
+
+
 def is_proper_vertex_colouring(graph: Graph, colours: Mapping[int, object] | Sequence[object]) -> bool:
     """Return ``True`` if every vertex is coloured and no edge is monochromatic."""
-    if isinstance(colours, Mapping):
-        if len(colours) < graph.num_vertices:
-            return False
-        lookup = colours
-    else:
-        if len(colours) < graph.num_vertices:
-            return False
-        lookup = {v: colours[v] for v in range(graph.num_vertices)}
-    for u, v, _ in graph.edges():
-        if lookup[u] == lookup[v]:
-            return False
-    return all(lookup.get(v) is not None for v in range(graph.num_vertices))
+    codes = _colour_codes(colours, graph.num_vertices)
+    return codes is not None and not bool(np.any(codes[graph.edge_u] == codes[graph.edge_v]))
 
 
 def is_proper_edge_colouring(graph: Graph, colours: Mapping[int, object] | Sequence[object]) -> bool:
     """Return ``True`` if every edge is coloured and incident edges differ in colour."""
-    if isinstance(colours, Mapping):
-        lookup = colours
-        if len(lookup) < graph.num_edges:
-            return False
-    else:
-        if len(colours) < graph.num_edges:
-            return False
-        lookup = {e: colours[e] for e in range(graph.num_edges)}
-    for v in range(graph.num_vertices):
-        incident = graph.incident_edges(v)
-        seen = set()
-        for e in incident:
-            colour = lookup.get(int(e))
-            if colour is None:
-                return False
-            if colour in seen:
-                return False
-            seen.add(colour)
-    return True
+    codes = _colour_codes(colours, graph.num_edges)
+    if codes is None:
+        return False
+    # Two incident edges share a colour iff some (endpoint, colour) pair repeats.
+    endpoints = np.concatenate([graph.edge_u, graph.edge_v])
+    pairs = endpoints * (int(codes.max(initial=-1)) + 1) + np.concatenate([codes, codes])
+    return np.unique(pairs).size == pairs.size
 
 
 def num_colours_used(colours: Mapping[object, object] | Sequence[object]) -> int:

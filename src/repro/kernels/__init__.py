@@ -5,8 +5,9 @@ This package is the performance layer between the data structures
 :class:`~repro.setcover.instance.SetCoverInstance`, CSR incidence) and the
 algorithm layer (``repro.core.*``, ``repro.baselines.*``):
 
-* :mod:`~repro.kernels.csr` — flat CSR gathers and the occurs-once scan
-  that powers the batched window loops;
+* :mod:`~repro.kernels.csr` — flat CSR gathers, the occurs-once scan
+  that powers the batched window loops, and the radix stable argsort that
+  builds the CSR indexes;
 * :mod:`~repro.kernels.local_ratio` — batched subtract-and-freeze weight
   reductions (set cover, vertex cover, matching, b-matching), the central
   machine pass of Algorithm 4, and vectorized stack unwinding;
@@ -25,7 +26,7 @@ consumption (kernels draw no randomness).  See ``docs/PERFORMANCE.md``.
 """
 
 from .coverage import CoverageCounter
-from .csr import build_csr, gather_rows, first_occurrence_mask
+from .csr import build_csr, first_occurrence_mask, gather_rows, stable_argsort_ids
 from .local_ratio import (
     b_matching_reduction,
     capacity_array,
@@ -43,6 +44,7 @@ __all__ = [
     "build_csr",
     "gather_rows",
     "first_occurrence_mask",
+    "stable_argsort_ids",
     "b_matching_reduction",
     "capacity_array",
     "central_matching_pass",

@@ -16,9 +16,12 @@ the rescans it replaces (golden tests in ``tests/kernels/`` assert it).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from ..setcover.instance import SetCoverInstance
+if TYPE_CHECKING:
+    from ..setcover.instance import SetCoverInstance
 
 __all__ = ["CoverageCounter"]
 

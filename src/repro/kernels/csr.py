@@ -9,7 +9,10 @@ operations the kernels need:
 * :func:`gather_rows` — materialise the concatenation of an arbitrary row
   subset (with its own segment ``indptr``) without a Python loop;
 * :func:`first_occurrence_mask` — flag, for a flat id array, which entries
-  are the first occurrence of their id.
+  are the first occurrence of their id;
+* :func:`stable_argsort_ids` — the stable sort order of a bounded id array
+  in linear time, which builds every CSR index of the graph and set cover
+  types and deduplicates the edge sampler's keys.
 
 ``first_occurrence_mask`` powers the batch selection of the kernels: the
 sequential local ratio / greedy loops process items one at a time, and two
@@ -34,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["build_csr", "gather_rows", "first_occurrence_mask"]
+__all__ = ["build_csr", "gather_rows", "first_occurrence_mask", "stable_argsort_ids"]
 
 
 def build_csr(rows: Sequence[np.ndarray], num_rows: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -89,3 +92,27 @@ def first_occurrence_mask(flat: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     positions = np.arange(flat.size, dtype=np.int64)
     scratch[flat[::-1]] = positions[::-1]
     return scratch[flat] == positions
+
+
+def stable_argsort_ids(ids: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(ids, kind="stable")`` for ids in ``[0, bound)``, in linear time.
+
+    An LSD radix sort over 16-bit digits.  NumPy's stable sort of a 16-bit
+    integer array is itself a linear-time radix sort, so each pass sorts one
+    ``uint16`` digit column of the little-endian id words, least significant
+    first, and composes the permutations.  Every pass is stable, so after
+    the pass over digit ``k`` the order is sorted by the low ``16(k+1)`` bits
+    with ties in original-index order (the classic LSD invariant); after
+    ``ceil(log2(bound) / 16)`` passes that is exactly the stable argsort —
+    one pass for vertex and element ids up to 65536, two for edge keys
+    ``lo * n + hi`` up to ``n = 65536``.  The general ``int64`` stable sort
+    is a comparison merge sort, several times slower at these sizes.
+    """
+    words = np.ascontiguousarray(ids, dtype="<i8").view("<u2").reshape(-1, 4)
+    passes = (max(int(bound) - 1, 0).bit_length() + 15) // 16
+    order: np.ndarray | None = None
+    for k in range(passes):
+        digits = words[:, k] if order is None else words[:, k][order]
+        step = np.argsort(digits, kind="stable")
+        order = step if order is None else order[step]
+    return np.arange(words.shape[0]) if order is None else order

@@ -30,6 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ..kernels.csr import stable_argsort_ids
 from ..mapreduce.exceptions import InfeasibleInstanceError
 
 __all__ = ["SetCoverInstance"]
@@ -202,7 +203,7 @@ class SetCoverInstance:
         if self._elem_indptr is None:
             set_indptr, set_indices = self.set_incidence()
             owners = np.repeat(np.arange(len(self._sets), dtype=np.int64), self._set_sizes)
-            order = np.argsort(set_indices, kind="stable")
+            order = stable_argsort_ids(set_indices, self._m)
             indptr = np.zeros(self._m + 1, dtype=np.int64)
             if set_indices.size:
                 np.cumsum(np.bincount(set_indices, minlength=self._m), out=indptr[1:])

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.graphs import (
     Graph,
+    gnm_graph,
     complete_graph,
     cycle_graph,
     is_b_matching,
@@ -154,6 +156,11 @@ class TestColourings:
         assert num_colours_used({0: "a", 1: "b", 2: "a"}) == 2
         assert num_colours_used([(0, 1), (0, 1), (1, 0)]) == 2
 
+    def test_vertex_colouring_mapping_missing_a_vertex(self):
+        # As many entries as vertices, but vertex 2 is absent: not a
+        # colouring (this used to raise KeyError).
+        assert not is_proper_vertex_colouring(path_graph(3), {0: 1, 1: 2, 7: 1})
+
 
 class TestCrossChecks:
     def test_complement_relationship_mis_vs_clique(self, rng):
@@ -183,3 +190,156 @@ class TestCrossChecks:
             cover.update((u, v))
         assert is_maximal_matching(medium_graph, matching.edge_ids)
         assert is_vertex_cover(medium_graph, cover)
+
+
+# --------------------------------------------------------------------------- #
+# Brute-force references for the vectorized checkers
+# --------------------------------------------------------------------------- #
+def _reference_maximal_clique(graph: Graph, vertices) -> bool:
+    vset = {int(v) for v in vertices}
+    if any(v < 0 or v >= graph.num_vertices for v in vset):
+        return False
+    adjacent = {(int(u), int(v)) for u, v in zip(graph.edge_u, graph.edge_v)}
+    adjacent |= {(v, u) for u, v in adjacent}
+    if any((a, b) not in adjacent for a in vset for b in vset if a != b):
+        return False
+    return not any(
+        all((c, member) in adjacent for member in vset)
+        for c in range(graph.num_vertices)
+        if c not in vset
+    )
+
+
+def _reference_vertex_colouring(graph: Graph, colours) -> bool:
+    lookup = {}
+    for v in range(graph.num_vertices):
+        try:
+            lookup[v] = colours[v]
+        except (KeyError, IndexError):
+            return False
+        if lookup[v] is None:
+            return False
+    return all(lookup[int(u)] != lookup[int(v)] for u, v in zip(graph.edge_u, graph.edge_v))
+
+
+def _reference_edge_colouring(graph: Graph, colours) -> bool:
+    lookup = {}
+    for e in range(graph.num_edges):
+        try:
+            lookup[e] = colours[e]
+        except (KeyError, IndexError):
+            return False
+        if lookup[e] is None:
+            return False
+    for v in range(graph.num_vertices):
+        incident = [
+            e for e in range(graph.num_edges) if v in (int(graph.edge_u[e]), int(graph.edge_v[e]))
+        ]
+        seen = [lookup[e] for e in incident]
+        if any(seen[i] == seen[j] for i in range(len(seen)) for j in range(i)):
+            return False
+    return True
+
+
+def _random_small_graphs(seed: int, count: int = 30):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 11))
+        m = int(rng.integers(0, n * (n - 1) // 2 + 1))
+        yield rng, gnm_graph(n, m, rng)
+
+
+class TestCheckersAgreeWithBruteForce:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_maximal_clique(self, seed):
+        for rng, g in _random_small_graphs(seed):
+            for _ in range(6):
+                k = int(rng.integers(0, g.num_vertices + 1))
+                candidate = rng.choice(g.num_vertices, size=k, replace=False).tolist()
+                assert is_maximal_clique(g, candidate) == _reference_maximal_clique(g, candidate)
+            # Greedily grown cliques exercise the "maximal" branch.
+            clique: list[int] = []
+            for v in rng.permutation(g.num_vertices).tolist():
+                if all(g.has_edge(v, w) for w in clique):
+                    clique.append(v)
+                    assert is_maximal_clique(g, clique) == _reference_maximal_clique(g, clique)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_vertex_colouring(self, seed):
+        for rng, g in _random_small_graphs(seed):
+            for palette in (2, 3, g.num_vertices):
+                colours = rng.integers(0, palette, size=g.num_vertices).tolist()
+                as_map = dict(enumerate(colours))
+                assert is_proper_vertex_colouring(g, colours) == _reference_vertex_colouring(
+                    g, colours
+                )
+                assert is_proper_vertex_colouring(g, as_map) == _reference_vertex_colouring(
+                    g, as_map
+                )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_edge_colouring(self, seed):
+        for rng, g in _random_small_graphs(seed):
+            for palette in (2, 4, max(1, g.num_edges)):
+                colours = rng.integers(0, palette, size=g.num_edges).tolist()
+                as_map = dict(enumerate(colours))
+                assert is_proper_edge_colouring(g, colours) == _reference_edge_colouring(
+                    g, colours
+                )
+                assert is_proper_edge_colouring(g, as_map) == _reference_edge_colouring(
+                    g, as_map
+                )
+
+    def test_clique_edge_cases(self):
+        for g in (Graph(0, []), Graph(1, []), path_graph(2), complete_graph(4)):
+            for candidate in ([], [0], [0, 1], [0, 1, 2, 3]):
+                assert is_maximal_clique(g, candidate) == _reference_maximal_clique(g, candidate)
+        assert is_maximal_clique(Graph(0, []), [])
+        assert not is_maximal_clique(Graph(1, []), [])
+        assert is_maximal_clique(Graph(1, []), [0])
+
+    @pytest.mark.parametrize(
+        "colours",
+        [
+            ["red", "blue", "red"],
+            ["red", "red", "blue"],
+            {0: "a", 1: "b", 2: "c"},
+            [None, 1, 2],
+            {0: 1, 1: None, 2: 1},
+            [None, None, None],
+            [1, 2],
+            {0: 1, 1: 2},
+            [(0, 1), (0, 2), (0, 1)],
+            [1, 2, 1, 2, 1],
+        ],
+    )
+    def test_vertex_colouring_edge_cases(self, colours):
+        g = path_graph(3)
+        assert is_proper_vertex_colouring(g, colours) == _reference_vertex_colouring(g, colours)
+
+    @pytest.mark.parametrize(
+        "colours",
+        [
+            ["red", "blue"],
+            ["red", "red"],
+            [None, 1],
+            {0: 1, 1: None},
+            [1],
+            {0: 1, 5: 2},
+            [(0, 1), (0, 2), (0, 1)],
+        ],
+    )
+    def test_edge_colouring_edge_cases(self, colours):
+        g = path_graph(3)
+        assert is_proper_edge_colouring(g, colours) == _reference_edge_colouring(g, colours)
+
+    def test_colourings_of_empty_graphs(self):
+        for n in (0, 1):
+            g = Graph(n, [])
+            for colours in ([], [0], {}, {0: None}):
+                assert is_proper_vertex_colouring(g, colours) == _reference_vertex_colouring(
+                    g, colours
+                )
+                assert is_proper_edge_colouring(g, colours) == _reference_edge_colouring(
+                    g, colours
+                )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.kernels import build_csr, first_occurrence_mask, gather_rows
+from repro.kernels import build_csr, first_occurrence_mask, gather_rows, stable_argsort_ids
 
 
 def test_build_csr_roundtrip():
@@ -72,3 +72,44 @@ def test_first_occurrence_mask_scratch_reuse():
         False,
         False,
     ]
+
+
+def _assert_stable_argsort(ids: np.ndarray, bound: int) -> None:
+    got = stable_argsort_ids(ids, bound)
+    assert np.array_equal(got, np.argsort(ids, kind="stable"))
+
+
+def test_stable_argsort_ids_empty():
+    assert stable_argsort_ids(np.empty(0, dtype=np.int64), 10).size == 0
+    assert stable_argsort_ids(np.empty(0, dtype=np.int64), 0).size == 0
+
+
+@pytest.mark.parametrize("bound", [1, 2, 2**16, 2**16 + 1, 2**32 + 1])
+def test_stable_argsort_ids_all_equal(bound):
+    _assert_stable_argsort(np.full(1000, bound - 1, dtype=np.int64), bound)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 7, 2**16, 2**16 + 1, 2**32 + 1, 70000**2])
+def test_stable_argsort_ids_heavy_duplicates(bound):
+    rng = np.random.default_rng(bound % 1000)
+    values = rng.integers(0, bound, size=8)
+    values[0] = bound - 1
+    _assert_stable_argsort(values[rng.integers(0, values.size, size=5000)], bound)
+
+
+@pytest.mark.parametrize("bound", [1, 2**16, 2**16 + 1, 2**32 + 1, 70000**2])
+def test_stable_argsort_ids_uniform(bound):
+    rng = np.random.default_rng(7)
+    ids = rng.integers(0, bound, size=20000)
+    ids[:3] = [0, bound - 1, bound - 1]
+    _assert_stable_argsort(ids, bound)
+
+
+def test_stable_argsort_ids_edge_keys():
+    # Edge keys lo * n + hi of a 70000-vertex graph need three 16-bit passes.
+    n = 70000
+    rng = np.random.default_rng(3)
+    u = rng.integers(0, n, size=30000)
+    v = rng.integers(0, n, size=30000)
+    keys = np.minimum(u, v) * n + np.maximum(u, v)
+    _assert_stable_argsort(np.concatenate([keys, keys[::3]]), n * n)
