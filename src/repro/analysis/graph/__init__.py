@@ -9,7 +9,7 @@ helper the service's executor thread reaches is threaded code.  This
 package parses the source tree **once**, builds a module import graph and
 a name-resolved call graph over per-function summaries, and propagates
 the lint scopes transitively along call edges, so the interprocedural
-checkers (WIRE001, DET101, CONC101, MPC001) judge code by what *reaches*
+checkers (WIRE001, DET101, CONC101) judge code by what *reaches*
 it, not by where it sits.
 
 Layering: :mod:`~repro.analysis.graph.summary` extracts one cacheable

@@ -4,7 +4,7 @@ One structured pass over a module's AST produces a :class:`ModuleSummary`
 holding everything the program graph and the interprocedural checkers
 need — import bindings, the export table, per-function call sites with
 held-lock context, determinism facts, serialization flow, wire-sink
-writes, round-callable arguments, and attribute mutations.  Summaries are
+writes, and attribute mutations.  Summaries are
 plain data (``to_dict``/``from_dict`` round-trip through JSON), which is
 what lets the incremental runner cache them by content sha256 and skip
 re-parsing unchanged files entirely.
@@ -49,7 +49,6 @@ __all__ = [
     "GlobalMutation",
     "ModuleSummary",
     "Mutation",
-    "RoundFact",
     "SinkWrite",
     "content_sha",
     "summarize_module",
@@ -86,9 +85,6 @@ _MUTABLE_FACTORIES = frozenset(
 
 #: Attribute calls that put bytes on a wire or into a saved trace.
 _WRITE_SINKS = frozenset({"write", "sendall", "send", "sendto"})
-
-#: APIs whose callable argument ships by import path (MPC001 surface).
-_ROUND_APIS = frozenset({"map_round", "run_round"})
 
 
 def content_sha(source: str) -> str:
@@ -147,17 +143,6 @@ class SinkWrite:
 
 
 @dataclass
-class RoundFact:
-    """A callable argument handed to ``map_round``/``run_round``."""
-
-    api: str
-    arg_kind: str  # "lambda" | "nested" | "boundmethod" | "constructed" | "name"
-    name: str  # dotted target for "name"/"boundmethod", "" otherwise
-    line: int
-    col: int
-
-
-@dataclass
 class Mutation:
     """One ``self.<attr>`` mutation inside a method."""
 
@@ -189,7 +174,6 @@ class FunctionSummary:
     serial_direct: str = ""  # "canonical" | "noncanonical" | "stringified" | ""
     serial_callees: list[str] = field(default_factory=list)
     sinks: list[SinkWrite] = field(default_factory=list)
-    rounds: list[RoundFact] = field(default_factory=list)
     mutations: list[Mutation] = field(default_factory=list)
     var_types: dict[str, str] = field(default_factory=dict)
 
@@ -256,7 +240,6 @@ class ModuleSummary:
                 serial_direct=fn.get("serial_direct", ""),
                 serial_callees=list(fn.get("serial_callees", [])),
                 sinks=[SinkWrite(**s) for s in fn.get("sinks", [])],
-                rounds=[RoundFact(**r) for r in fn.get("rounds", [])],
                 mutations=[Mutation(**m) for m in fn.get("mutations", [])],
                 var_types=dict(fn.get("var_types", {})),
             )
@@ -327,7 +310,6 @@ class _Extractor(ast.NodeVisitor):
         self.cls: ClassSummary | None = None
         self.lock_depth = 0
         self.fn_depth = 0
-        self.nested_names: set[str] = set()
         self.serial_env: dict[str, tuple[str, set[str]]] = {}
         self.frame_imports: dict[str, str] = {}
         self.module_fn = FunctionSummary(qualname=MODULE_FUNCTION, line=1)
@@ -418,7 +400,6 @@ class _Extractor(ast.NodeVisitor):
     def _visit_function(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
         if self.fn_depth:
             # Nested def: flatten into the enclosing frame.
-            self.nested_names.add(node.name)
             self.fn_depth += 1
             for stmt in node.body:
                 self.visit(stmt)
@@ -433,7 +414,6 @@ class _Extractor(ast.NodeVisitor):
         self.summary.functions[qualname] = frame
         self.frame = frame
         self.frame_class = self.cls
-        self.nested_names = set()
         self.serial_env = {}
         self.frame_imports = {}
         saved_lock = self.lock_depth
@@ -521,14 +501,11 @@ class _Extractor(ast.NodeVisitor):
                         and dotted not in _LOCK_FACTORIES
                     ):
                         self.frame_class.attr_types.setdefault(attr, dotted)
-        # Serialization env for locals; lambda bindings count as nested defs.
+        # Serialization env for locals.
         if self.fn_depth:
             for target in node.targets:
-                if isinstance(target, ast.Name):
-                    if isinstance(value, ast.Lambda):
-                        self.nested_names.add(target.id)
-                    else:
-                        self.serial_env[target.id] = self._classify(value)
+                if isinstance(target, ast.Name) and not isinstance(value, ast.Lambda):
+                    self.serial_env[target.id] = self._classify(value)
         # Instance-attribute mutations (methods only).
         if self.frame_class is not None:
             for target in node.targets:
@@ -713,10 +690,6 @@ class _Extractor(ast.NodeVisitor):
         ) == "json.dump":
             current.sinks.append(SinkWrite(line, col, direct="noncanonical"))
 
-        # Round callables (MPC001).
-        if isinstance(func, ast.Attribute) and func.attr in _ROUND_APIS and node.args:
-            self._record_round_arg(func.attr, node.args[0], node)
-
         # Thread/executor registrations.
         target_dotted = resolve_call_target(node, self.imports)
         if target_dotted == "threading.Thread":
@@ -739,32 +712,6 @@ class _Extractor(ast.NodeVisitor):
                 current.calls.append(site)
 
         self.generic_visit(node)
-
-    def _record_round_arg(self, api: str, arg: ast.expr, node: ast.Call) -> None:
-        current = self.current
-        line, col = node.lineno, node.col_offset + 1
-        if isinstance(arg, ast.Lambda):
-            current.rounds.append(RoundFact(api, "lambda", "", line, col))
-        elif isinstance(arg, ast.Call):
-            current.rounds.append(RoundFact(api, "constructed", "", line, col))
-        elif isinstance(arg, ast.Attribute):
-            dotted = _dotted(arg)
-            if isinstance(arg.value, ast.Name) and arg.value.id == "self":
-                current.rounds.append(RoundFact(api, "boundmethod", dotted or "", line, col))
-            elif dotted is not None:
-                resolved = self._resolve_dotted_spelling(dotted)
-                head = dotted.partition(".")[0]
-                if resolved != dotted or head not in current.var_types:
-                    current.rounds.append(RoundFact(api, "name", resolved, line, col))
-                else:
-                    current.rounds.append(RoundFact(api, "boundmethod", dotted, line, col))
-        elif isinstance(arg, ast.Name):
-            if arg.id in self.nested_names:
-                current.rounds.append(RoundFact(api, "nested", arg.id, line, col))
-            else:
-                current.rounds.append(
-                    RoundFact(api, "name", self._resolve_name(arg.id), line, col)
-                )
 
 
 # --------------------------------------------------------------------------- #

@@ -35,8 +35,6 @@ DET101    unseeded RNG / wall-clock / set-order in helpers *reachable*
           from deterministic or clock-free entry points
 CONC101   unlocked mutation of lock-guarded state on a cross-module
           thread-reachable path (lock discipline across functions)
-MPC001    closures/lambdas/bound methods passed to ``map_round`` /
-          ``SweepRoundExecutor`` — import-path dispatch cannot ship them
 ========  ==============================================================
 
 Findings can be silenced three ways, in decreasing order of preference:

@@ -15,11 +15,6 @@ DET101    unseeded-RNG / wall-clock / set-order hazards in functions
 CONC101   mutations of lock-guarded shared attributes reachable from a
           thread/executor entry point along a call path that crosses a
           module boundary without any path-dominating lock acquisition.
-MPC001    closures, lambdas, and bound methods handed to
-          ``MPCContext.map_round`` / ``SweepRoundExecutor.run_round`` —
-          the distributed protocol ships callables by import path
-          (:func:`repro.distributed.protocol.callable_path`), which
-          cannot name ``<locals>`` or ``<lambda>`` objects.
 
 Every finding carries an example entry→sink call chain so the fix site
 is obvious without re-deriving the reachability by hand.
@@ -35,7 +30,7 @@ from ...graph.summary import MODULE_FUNCTION, FunctionSummary, ModuleSummary
 from ..findings import Finding
 from ..registry import ProgramChecker, ProgramContext, register_program_checker
 
-__all__ = ["Wire001", "Det101", "Conc101", "Mpc001"]
+__all__ = ["Wire001", "Det101", "Conc101"]
 
 #: Serialization verdicts that taint a sink (worst wins in propagation).
 _TAINTED = ("noncanonical", "stringified")
@@ -307,47 +302,3 @@ class Conc101(ProgramChecker):
                     result.setdefault(edge.callee, (entry, edge.line))
                 queue.append((edge.callee, next_crossed, entry))
         return result
-
-
-@register_program_checker
-class Mpc001(ProgramChecker):
-    """Non-importable callables on the MPC round-dispatch surface."""
-
-    code = "MPC001"
-    name = "round-callable-importability"
-    description = (
-        "Callables passed to MPCContext.map_round or SweepRoundExecutor."
-        "run_round must be module-level functions: the distributed "
-        "protocol ships them by import path, which cannot name lambdas, "
-        "closures, or bound methods."
-    )
-
-    _REASONS = {
-        "lambda": "a lambda",
-        "nested": "a nested function (closure)",
-        "constructed": "a dynamically constructed callable",
-        "boundmethod": "a bound method",
-    }
-
-    def check(self, ctx: ProgramContext) -> Iterator[Finding]:
-        graph = ctx.graph
-        for fid, relpath, fn in _fn_items(graph):
-            for fact in fn.rounds:
-                reason = self._REASONS.get(fact.arg_kind)
-                if reason is None and fact.arg_kind == "name" and fact.name:
-                    resolved = graph.resolver.resolve_dotted(
-                        fact.name, context_module=graph.module_of(fid)
-                    )
-                    if resolved is not None and "." in resolved[1]:
-                        reason = f"the method {resolved[1]!r}"
-                if reason is None:
-                    continue
-                yield ctx.finding(
-                    self.code,
-                    f"{reason} passed to {fact.api}(); the distributed "
-                    "import-path dispatch (protocol.callable_path) cannot "
-                    "ship it — move it to a module-level function",
-                    relpath,
-                    fact.line,
-                    fact.col,
-                )

@@ -49,7 +49,6 @@ __all__ = [
 
 def _replay_hungry_greedy_rounds(
     ctx: MPCContext,
-    cluster: Cluster,
     worker_loads: np.ndarray,
     iterations,
     num_vertices: int,
@@ -72,7 +71,6 @@ def _replay_hungry_greedy_rounds(
             phase=phase,
             max_worker_send=max_worker,
         )
-        cluster.central.clear()
         ctx.parallel_round(
             f"sweep {stats.iteration}: notify vertices of N+(I)",
             phase=phase,
@@ -106,7 +104,6 @@ def mpc_maximal_independent_set(
     dist = DistributedGraph(graph, cluster, rng)
     _replay_hungry_greedy_rounds(
         ctx,
-        cluster,
         dist.total_loads(),
         result.iterations,
         graph.num_vertices,
@@ -142,7 +139,6 @@ def mpc_maximal_independent_set_simple(
     dist = DistributedGraph(graph, cluster, rng)
     _replay_hungry_greedy_rounds(
         ctx,
-        cluster,
         dist.total_loads(),
         result.iterations,
         graph.num_vertices,
@@ -203,7 +199,6 @@ def mpc_maximal_clique(
             phase=phase,
             max_worker_send=max_worker,
         )
-        cluster.central.clear()
         ctx.parallel_round(
             f"sweep {stats.iteration}: neighbours exchange candidate bits",
             phase=phase,
@@ -280,7 +275,6 @@ def mpc_greedy_set_cover(
             phase=phase,
             max_worker_send=int(loads.max()) if loads.size else 0,
         )
-        cluster.central.clear()
         covered_total = min(instance.num_elements, covered_total + stats.alive)
         ctx.broadcast(
             max(1, min(instance.num_elements, covered_total)),

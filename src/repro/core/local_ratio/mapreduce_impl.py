@@ -167,7 +167,6 @@ def mpc_weighted_set_cover(
             phase=f"iteration-{stats.iteration}",
             max_worker_send=int(worker_loads.max()) if worker_loads.size else 0,
         )
-        cluster.central.clear()
         cover_size += stats.selected
         ctx.broadcast(
             max(1, cover_size),
@@ -236,7 +235,6 @@ def mpc_weighted_vertex_cover(
             phase=phase,
             max_worker_send=int(worker_loads.max()) if worker_loads.size else 0,
         )
-        cluster.central.clear()
         # f = 2 redistribution: one bit per vertex, then vertex → incident edges.
         ctx.parallel_round(
             f"iteration {stats.iteration}: notify vertices of C",
@@ -271,7 +269,6 @@ def mpc_weighted_vertex_cover(
 # --------------------------------------------------------------------------- #
 def _replay_matching_rounds(
     ctx: MPCContext,
-    cluster: Cluster,
     dist: DistributedGraph,
     iterations,
     graph: Graph,
@@ -294,7 +291,6 @@ def _replay_matching_rounds(
             phase=phase,
             max_worker_send=max_worker,
         )
-        cluster.central.clear()
         ctx.parallel_round(
             f"iteration {stats.iteration}: send φ(v) and stack bits to vertices",
             phase=phase,
@@ -335,7 +331,7 @@ def mpc_weighted_matching(
         cluster, algorithm="mpc-weighted-matching", default_fanout=params.fanout, strict=strict
     )
     dist = DistributedGraph(graph, cluster, rng)
-    _replay_matching_rounds(ctx, cluster, dist, result.iterations, graph, params.num_machines)
+    _replay_matching_rounds(ctx, dist, result.iterations, graph, params.num_machines)
     ctx.gather_to_central(
         EDGE_WORDS * max(1, result.stack_size),
         f"unwind stack ({result.stack_size} edges) on central machine",
@@ -384,7 +380,7 @@ def mpc_weighted_b_matching(
         cluster, algorithm="mpc-weighted-b-matching", default_fanout=params.fanout, strict=strict
     )
     dist = DistributedGraph(graph, cluster, rng)
-    _replay_matching_rounds(ctx, cluster, dist, result.iterations, graph, params.num_machines)
+    _replay_matching_rounds(ctx, dist, result.iterations, graph, params.num_machines)
     ctx.gather_to_central(
         EDGE_WORDS * max(1, result.stack_size),
         f"unwind stack ({result.stack_size} edges) on central machine",

@@ -1,7 +1,7 @@
 """Distributed coordinator/worker execution over the stdlib-HTTP protocol.
 
-This package turns the simulated massively-parallel model into a real one:
-a **coordinator** (the ``distributed`` sweep backend) shards
+This package spreads sweeps across processes and hosts: a **coordinator**
+(the ``distributed`` sweep backend) shards
 :class:`~repro.backends.SweepPoint`\\ s across **workers** — plain
 ``repro serve`` instances started with ``repro worker``, which extends the
 service with three endpoints:

@@ -206,10 +206,8 @@ def decode_records(payloads: Sequence[dict[str, Any]]) -> list[Any]:
 def payload_words(value: Any) -> int:
     """Size of a JSON-able value in 8-byte machine words (at least 1).
 
-    The distributed layer's *measured* counterpart of the simulator's
-    :func:`~repro.mapreduce.machine.words_of` model accounting: the actual
-    canonical-JSON byte length of what crossed the wire, rounded up to
-    words, so MPC load checks run against real payload sizes.
+    The canonical-JSON byte length of what crossed the wire, rounded up to
+    words; workers report the total as ``result_words_total``.
     """
     encoded = json.dumps(value, sort_keys=True, separators=(",", ":"))
     return max(1, math.ceil(len(encoded.encode("utf-8")) / 8))

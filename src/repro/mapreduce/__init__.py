@@ -13,15 +13,6 @@ are exactly the quantities tabulated in Figure 1 of the paper.
 
 from .cluster import Cluster
 from .engine import MPCContext, tree_rounds
-from .executor import (
-    LocalRoundExecutor,
-    RoundExecutor,
-    ShardResult,
-    SweepRoundExecutor,
-    distributed_degree_count,
-    edge_degree_shard,
-    execute_round_shard,
-)
 from .exceptions import (
     AlgorithmFailureError,
     CommunicationExceededError,
@@ -31,47 +22,17 @@ from .exceptions import (
     ProtocolError,
     ReproError,
 )
-from .job import (
-    degree_count_job,
-    run_mapreduce_pipeline,
-    run_mapreduce_round,
-    triangle_count_job,
-)
-from .machine import Machine, words_of
-from .metrics import RoundRecord, RunMetrics, merge_metrics
-from .partition import (
-    balanced_partition,
-    hash_partition,
-    num_machines_for,
-    partition_counts,
-    random_partition,
-)
+from .metrics import RoundRecord, RunMetrics
+from .partition import balanced_partition, random_partition
 
 __all__ = [
     "Cluster",
     "MPCContext",
     "tree_rounds",
-    "RoundExecutor",
-    "LocalRoundExecutor",
-    "SweepRoundExecutor",
-    "ShardResult",
-    "execute_round_shard",
-    "edge_degree_shard",
-    "distributed_degree_count",
-    "run_mapreduce_round",
-    "run_mapreduce_pipeline",
-    "degree_count_job",
-    "triangle_count_job",
-    "Machine",
-    "words_of",
     "RoundRecord",
     "RunMetrics",
-    "merge_metrics",
     "balanced_partition",
     "random_partition",
-    "hash_partition",
-    "partition_counts",
-    "num_machines_for",
     "ReproError",
     "MapReduceError",
     "MemoryExceededError",

@@ -1,30 +1,23 @@
 """A simulated MapReduce / MPC cluster.
 
-A :class:`Cluster` is a set of worker :class:`~repro.mapreduce.machine.Machine`
-objects plus one designated *central* machine, all with the same per-machine
-memory budget.  The paper's algorithms follow a common pattern — "the lines
-highlighted in blue are run sequentially on a central machine, and all other
-lines are run in parallel across all machines" — and the cluster mirrors
-that structure directly.
+A :class:`Cluster` is ``M`` worker machines plus one designated *central*
+machine, described by their word budgets.  The paper's algorithms follow a
+common pattern — "the lines highlighted in blue are run sequentially on a
+central machine, and all other lines are run in parallel across all
+machines" — and the cluster mirrors that structure directly.
 
 The cluster is a *data* object; round orchestration and metric collection
-live in :class:`repro.mapreduce.engine.MPCContext`.
+live in :class:`repro.mapreduce.engine.MPCContext`, which checks the loads
+each round declares against these budgets.
 """
 
 from __future__ import annotations
-
-from typing import Iterator
-
-import numpy as np
-
-from .machine import Machine
-from .partition import num_machines_for
 
 __all__ = ["Cluster"]
 
 
 class Cluster:
-    """A collection of worker machines plus a central coordinator.
+    """The budgets of ``num_machines`` workers plus a central coordinator.
 
     Parameters
     ----------
@@ -55,60 +48,6 @@ class Cluster:
         if central_memory is None:
             central_memory = memory_per_machine
         self.central_memory = None if central_memory is None else int(central_memory)
-        self.workers: list[Machine] = [
-            Machine(i, self.memory_per_machine) for i in range(self.num_machines)
-        ]
-        self.central = Machine("central", self.central_memory)
-
-    # ------------------------------------------------------------------ #
-    # Construction helpers
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def for_input_size(
-        cls,
-        input_words: int,
-        memory_per_machine: int,
-        *,
-        central_memory: int | None = None,
-    ) -> "Cluster":
-        """Build a cluster with just enough machines to hold ``input_words``.
-
-        Mirrors the paper's convention ``M = m / n^{1+µ}`` (rounded up).
-        """
-        machines = num_machines_for(input_words, memory_per_machine)
-        return cls(machines, memory_per_machine, central_memory=central_memory)
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    def __len__(self) -> int:
-        return self.num_machines
-
-    def __iter__(self) -> Iterator[Machine]:
-        return iter(self.workers)
-
-    def __getitem__(self, index: int) -> Machine:
-        return self.workers[index]
-
-    def worker_loads(self) -> np.ndarray:
-        """Current word usage of every worker machine."""
-        return np.array([machine.words_used for machine in self.workers], dtype=np.int64)
-
-    def peak_worker_load(self) -> int:
-        """Largest peak word usage across worker machines."""
-        return max((machine.peak_words for machine in self.workers), default=0)
-
-    def reset_peaks(self) -> None:
-        """Reset peak-usage statistics on all machines."""
-        for machine in self.workers:
-            machine.reset_peak()
-        self.central.reset_peak()
-
-    def clear(self) -> None:
-        """Drop all stored data on every machine."""
-        for machine in self.workers:
-            machine.clear()
-        self.central.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         limit = "∞" if self.memory_per_machine is None else str(self.memory_per_machine)

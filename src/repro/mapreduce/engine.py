@@ -32,17 +32,13 @@ node of the tree never holds more than ``fanout × payload`` words.
 
 from __future__ import annotations
 
-import math
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .cluster import Cluster
 from .exceptions import MemoryExceededError, ProtocolError
 from .metrics import RunMetrics
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .executor import RoundExecutor
 
 __all__ = ["MPCContext", "tree_rounds"]
 
@@ -52,15 +48,19 @@ def tree_rounds(num_machines: int, fanout: int) -> int:
 
     With fan-out ``f`` the tree reaches ``f^d`` machines after ``d`` rounds,
     so ``d = ceil(log_f M)``; a single machine still needs one round to
-    receive the message.
+    receive the message.  Computed in integers: a floating-point ``log``
+    ratio overshoots when ``M`` is an exact power of ``f`` (``log 125 /
+    log 5`` is ``3.0000000000000004``) and would charge an extra round.
     """
     if num_machines <= 0:
         raise ValueError("num_machines must be positive")
     if fanout < 2:
         raise ValueError("fanout must be at least 2")
-    if num_machines == 1:
-        return 1
-    return max(1, math.ceil(math.log(num_machines) / math.log(fanout)))
+    rounds, reached = 1, fanout
+    while reached < num_machines:
+        rounds += 1
+        reached *= fanout
+    return rounds
 
 
 class MPCContext:
@@ -80,13 +80,6 @@ class MPCContext:
         When ``True`` (default) memory violations raise; when ``False`` they
         are only recorded (useful for exploratory experiments that want to
         observe by how much a bound would be exceeded).
-    executor:
-        Where :meth:`map_round` physically runs a round's shard functions
-        (see :mod:`repro.mapreduce.executor`).  ``None`` means in-process
-        (:class:`~repro.mapreduce.executor.LocalRoundExecutor`); a
-        :class:`~repro.mapreduce.executor.SweepRoundExecutor` with
-        ``backend="distributed"`` executes rounds across real worker
-        processes/hosts while this context keeps doing the accounting.
     """
 
     def __init__(
@@ -96,13 +89,11 @@ class MPCContext:
         algorithm: str = "",
         default_fanout: int = 2,
         strict: bool = True,
-        executor: "RoundExecutor | None" = None,
     ):
         self.cluster = cluster
         self.metrics = RunMetrics(algorithm=algorithm)
         self.default_fanout = max(2, int(default_fanout))
         self.strict = strict
-        self.executor = executor
         self._closed = False
         self._violations: list[str] = []
 
@@ -148,21 +139,17 @@ class MPCContext:
         description: str,
         *,
         phase: str = "",
-        machine_loads: Sequence[int] | np.ndarray | int | None = None,
+        machine_loads: Sequence[int] | np.ndarray | int,
         words_communicated: int = 0,
         messages: int = 0,
     ) -> None:
         """Record one fully parallel round.
 
         ``machine_loads`` is either the per-machine word loads (checked
-        individually), a single integer (interpreted as the maximum load), or
-        ``None`` (the current live loads of the cluster's workers are used).
+        individually) or a single integer (interpreted as the maximum load).
         """
         self._check_open()
-        if machine_loads is None:
-            loads = self.cluster.worker_loads()
-            max_load = int(loads.max()) if loads.size else 0
-        elif np.isscalar(machine_loads):
+        if np.isscalar(machine_loads):
             max_load = int(machine_loads)  # type: ignore[arg-type]
         else:
             arr = np.asarray(machine_loads, dtype=np.int64)
@@ -172,50 +159,9 @@ class MPCContext:
             description,
             phase,
             max_machine_words=max_load,
-            central_words=self.cluster.central.words_used,
             words_communicated=int(words_communicated),
             messages=int(messages),
         )
-
-    def map_round(
-        self,
-        shard_fn: Any,
-        shards: Sequence[Any],
-        description: str,
-        *,
-        phase: str = "",
-        params: Mapping[str, Any] | None = None,
-    ) -> list[Any]:
-        """Execute one parallel round for real and account it.
-
-        ``shard_fn`` (a module-level callable, or its import path) is
-        applied to every entry of ``shards`` by this context's
-        :class:`~repro.mapreduce.executor.RoundExecutor` — in-process by
-        default, across worker processes/hosts with a
-        :class:`~repro.mapreduce.executor.SweepRoundExecutor`.  The
-        *measured* per-shard payload sizes (input + output words, as they
-        crossed — or would cross — the wire) feed the usual
-        :meth:`parallel_round` budget checks, so the simulator's
-        load-violation accounting applies unchanged to real execution.
-        Returns the shard outputs in shard order.
-        """
-        self._check_open()
-        if self.executor is None:
-            from .executor import LocalRoundExecutor
-
-            self.executor = LocalRoundExecutor()
-        results = self.executor.run_round(
-            shard_fn, list(shards), round_name=description, params=params
-        )
-        loads = [result.input_words + result.output_words for result in results]
-        self.parallel_round(
-            description,
-            phase=phase,
-            machine_loads=loads,
-            words_communicated=sum(result.output_words for result in results),
-            messages=len(results),
-        )
-        return [result.output for result in results]
 
     def gather_to_central(
         self,
@@ -231,19 +177,19 @@ class MPCContext:
         This is the "blue line" pattern of the paper: a bounded-size sample
         is shipped to a single machine that runs the sequential algorithm on
         it.  The central machine's budget is checked against
-        ``input_words`` plus whatever state it already holds.
+        ``input_words``.
         """
         self._check_open()
-        total_central = self.cluster.central.words_used + int(input_words)
-        self._check_central_load(total_central, description)
+        central_words = int(input_words)
+        self._check_central_load(central_words, description)
         if max_worker_send is not None:
             self._check_worker_load(int(max_worker_send), description)
         self.metrics.record_round(
             description,
             phase,
             max_machine_words=int(max_worker_send or 0),
-            central_words=total_central,
-            words_communicated=int(input_words),
+            central_words=central_words,
+            words_communicated=central_words,
             messages=self.num_machines if messages is None else int(messages),
         )
 
@@ -276,7 +222,6 @@ class MPCContext:
                 f"{description} [broadcast level {i + 1}/{rounds}]",
                 phase,
                 max_machine_words=per_node,
-                central_words=self.cluster.central.words_used,
                 words_communicated=int(payload_words) * reached,
                 messages=reached,
             )
@@ -307,7 +252,7 @@ class MPCContext:
                 f"{description} [aggregate level {i + 1}/{rounds}]",
                 phase,
                 max_machine_words=per_node,
-                central_words=self.cluster.central.words_used + int(per_machine_words) * fanout,
+                central_words=int(per_machine_words) * fanout,
                 words_communicated=int(per_machine_words) * senders,
                 messages=senders,
             )

@@ -14,7 +14,7 @@ on central machine".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -92,26 +92,6 @@ class RunMetrics:
         self.rounds.append(record)
         return record
 
-    def extend(self, other: "RunMetrics") -> None:
-        """Append all rounds of ``other`` (re-indexed) to this run.
-
-        ``other``'s notes are merged in as well, first-wins: a key this run
-        already carries keeps its value.  (Composed protocols read notes such
-        as ``"sampling_iterations"`` off the merged result — dropping them
-        here would make ``merge_metrics`` lose the sub-protocols' counters.)
-        """
-        for record in other.rounds:
-            self.record_round(
-                record.description,
-                record.phase,
-                max_machine_words=record.max_machine_words,
-                central_words=record.central_words,
-                words_communicated=record.words_communicated,
-                messages=record.messages,
-            )
-        for key, value in other.notes.items():
-            self.notes.setdefault(key, value)
-
     # ------------------------------------------------------------------ #
     # Aggregates
     # ------------------------------------------------------------------ #
@@ -170,16 +150,3 @@ class RunMetrics:
             "total_messages": self.total_messages,
         }
 
-
-def merge_metrics(metrics: Iterable[RunMetrics], algorithm: str = "") -> RunMetrics:
-    """Concatenate several :class:`RunMetrics` objects into one.
-
-    Useful when an algorithm is expressed as a sequence of sub-protocols
-    (e.g. preprocessing followed by the main loop).  Rounds concatenate in
-    order; notes merge first-wins (the earliest sub-protocol that set a key
-    keeps it).
-    """
-    merged = RunMetrics(algorithm=algorithm)
-    for item in metrics:
-        merged.extend(item)
-    return merged

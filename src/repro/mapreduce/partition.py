@@ -10,33 +10,14 @@ machines.  The paper uses two flavours:
   to one of the M machines, randomly chosen" (Theorem 3.3), where a Chernoff
   bound keeps loads balanced w.h.p.
 
-Both are provided here, along with a deterministic hash partitioner for
-reproducibility-sensitive callers.
+Both are provided here.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-__all__ = [
-    "balanced_partition",
-    "random_partition",
-    "hash_partition",
-    "partition_counts",
-    "num_machines_for",
-]
-
-
-def num_machines_for(num_items: int, capacity: int) -> int:
-    """Number of machines needed to hold ``num_items`` at ``capacity`` items each.
-
-    Always at least 1.  This mirrors the paper's ``M = m / n^{1+µ}``.
-    """
-    if capacity <= 0:
-        raise ValueError("capacity must be positive")
-    return max(1, -(-int(num_items) // int(capacity)))
+__all__ = ["balanced_partition", "random_partition"]
 
 
 def balanced_partition(num_items: int, num_machines: int) -> np.ndarray:
@@ -67,29 +48,3 @@ def random_partition(
         raise ValueError("num_items must be non-negative")
     return rng.integers(0, num_machines, size=num_items, dtype=np.int64)
 
-
-def hash_partition(keys: Sequence[int] | np.ndarray, num_machines: int) -> np.ndarray:
-    """Deterministically assign integer keys to machines by a mixing hash.
-
-    The hash is a fixed multiplicative mix (Knuth's constant) so the
-    assignment is stable across runs and independent of Python's
-    randomized ``hash``.
-    """
-    if num_machines <= 0:
-        raise ValueError("num_machines must be positive")
-    # Any integer key is accepted: signed keys are mixed through their 64-bit
-    # two's-complement bit pattern (an int64→uint64 view), so negative ids —
-    # e.g. sentinel keys or signed hashes — partition deterministically
-    # instead of raising ``OverflowError`` on the uint64 conversion.
-    arr = np.asarray(keys)
-    if arr.dtype.kind == "i" or (arr.dtype.kind != "u" and arr.size and (arr < 0).any()):
-        arr = arr.astype(np.int64, copy=False).view(np.uint64)
-    else:
-        arr = arr.astype(np.uint64, copy=False)
-    mixed = (arr * np.uint64(2654435761)) % np.uint64(2**32)
-    return (mixed % np.uint64(num_machines)).astype(np.int64)
-
-
-def partition_counts(assignment: np.ndarray, num_machines: int) -> np.ndarray:
-    """Return the number of items assigned to each machine."""
-    return np.bincount(np.asarray(assignment, dtype=np.int64), minlength=num_machines)

@@ -215,7 +215,7 @@ class TestSarif:
         run = doc["runs"][0]
         rule_ids = [rule["id"] for rule in run["tool"]["driver"]["rules"]]
         assert rule_ids == sorted(rule_ids)
-        assert {"WIRE001", "DET101", "CONC101", "MPC001"} <= set(rule_ids)
+        assert {"WIRE001", "DET101", "CONC101"} <= set(rule_ids)
         assert len(run["results"]) == len(a.findings)
         for result in run["results"]:
             location = result["locations"][0]["physicalLocation"]

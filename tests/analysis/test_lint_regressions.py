@@ -14,9 +14,6 @@ test_lint_checkers.py), so the defect class cannot come back silently.
 3. CONC001 @ distributed/worker.py — ``WorkerState.start`` wrote the
    lock-guarded ``_closed`` flag without holding the lock (racy against
    an executor observing a close() → start() restart).
-4. DET003 @ mapreduce/job.py — ``triangle_count_job`` fed the round its
-   edge records in *set* order, tying record order (and the measured
-   round accounting) to hash iteration.
 """
 
 from __future__ import annotations
@@ -28,8 +25,6 @@ import numpy as np
 from repro.cli import main
 from repro.distributed.worker import WorkerState
 from repro.experiments.harness import ExperimentRecord
-from repro.graphs import Graph
-from repro.mapreduce import Cluster, MPCContext, triangle_count_job
 
 
 class TestAlgorithmsListingIdentity:
@@ -154,17 +149,3 @@ class TestWorkerThreadHandleDiscipline:
         assert state._thread is None
         assert len(executors) <= 1
 
-
-class TestTriangleRecordOrder:
-    def test_count_and_round_accounting_independent_of_edge_order(self):
-        edges = [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3), (0, 4)]
-        reference = None
-        for ordering in (edges, list(reversed(edges)), edges[3:] + edges[:3]):
-            ctx = MPCContext(Cluster(4, 100_000), algorithm="triangle-regression")
-            count = triangle_count_job(ctx, Graph(5, ordering))
-            assert count == 2
-            outcome = (count, ctx.metrics.summary())
-            if reference is None:
-                reference = outcome
-            else:
-                assert outcome == reference

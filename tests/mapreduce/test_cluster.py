@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.mapreduce import Cluster
@@ -12,63 +11,19 @@ class TestClusterConstruction:
     def test_basic_shape(self):
         cluster = Cluster(4, 1000)
         assert cluster.num_machines == 4
-        assert len(cluster) == 4
-        assert len(list(cluster)) == 4
         assert cluster.memory_per_machine == 1000
-        assert cluster.central.memory_limit == 1000
+        assert cluster.central_memory == 1000
 
     def test_distinct_central_memory(self):
         cluster = Cluster(2, 100, central_memory=5000)
-        assert cluster.central.memory_limit == 5000
-        assert cluster[0].memory_limit == 100
+        assert cluster.central_memory == 5000
+        assert cluster.memory_per_machine == 100
 
     def test_unlimited_memory(self):
         cluster = Cluster(2, None)
         assert cluster.memory_per_machine is None
-        assert cluster.central.memory_limit is None
+        assert cluster.central_memory is None
 
     def test_rejects_zero_machines(self):
         with pytest.raises(ValueError):
             Cluster(0, 100)
-
-    def test_for_input_size(self):
-        cluster = Cluster.for_input_size(10_000, 1000)
-        assert cluster.num_machines == 10
-        assert cluster.memory_per_machine == 1000
-
-    def test_for_input_size_rounds_up(self):
-        assert Cluster.for_input_size(1001, 1000).num_machines == 2
-
-    def test_machine_ids_are_indices(self):
-        cluster = Cluster(3, 10)
-        assert [m.machine_id for m in cluster] == [0, 1, 2]
-        assert cluster.central.machine_id == "central"
-
-
-class TestClusterAccounting:
-    def test_worker_loads_reflect_stored_data(self):
-        cluster = Cluster(3, 1000)
-        cluster[0].put("x", np.zeros(10))
-        cluster[2].put("y", np.zeros(20))
-        np.testing.assert_array_equal(cluster.worker_loads(), [10, 0, 20])
-
-    def test_peak_worker_load(self):
-        cluster = Cluster(2, 1000)
-        cluster[1].put("x", np.zeros(77))
-        cluster[1].pop("x")
-        assert cluster.peak_worker_load() == 77
-
-    def test_reset_peaks(self):
-        cluster = Cluster(2, 1000)
-        cluster[0].put("x", np.zeros(50))
-        cluster[0].pop("x")
-        cluster.reset_peaks()
-        assert cluster.peak_worker_load() == 0
-
-    def test_clear_drops_all_data(self):
-        cluster = Cluster(2, 1000)
-        cluster[0].put("x", np.zeros(5))
-        cluster.central.put("y", np.zeros(5))
-        cluster.clear()
-        assert cluster.worker_loads().sum() == 0
-        assert cluster.central.words_used == 0

@@ -14,6 +14,17 @@ class TestTreeRounds:
     def test_exact_powers(self):
         assert tree_rounds(16, 4) == 2
         assert tree_rounds(64, 4) == 3
+        # log(M)/log(f) lands just above the integer for these; a float
+        # ceil charged one extra broadcast/aggregate round.
+        assert tree_rounds(125, 5) == 3
+        assert tree_rounds(216, 6) == 3
+        assert tree_rounds(2_097_152, 8) == 7
+        for fanout in range(2, 3200):
+            power, depth = fanout, 1
+            while power <= 10**7:
+                assert tree_rounds(power, fanout) == depth, (power, fanout)
+                assert tree_rounds(power + 1, fanout) == depth + 1, (power, fanout)
+                power, depth = power * fanout, depth + 1
 
     def test_rounds_up(self):
         assert tree_rounds(17, 4) == 3
@@ -44,14 +55,10 @@ class TestParallelRound:
         ctx.parallel_round("a", machine_loads=[10, 999, 3])
         assert ctx.metrics.rounds[0].max_machine_words == 999
 
-    def test_uses_live_loads_when_not_given(self):
-        import numpy as np
-
-        cluster = Cluster(2, 1000)
-        cluster[1].put("x", np.zeros(123))
-        ctx = MPCContext(cluster)
-        ctx.parallel_round("a")
-        assert ctx.metrics.rounds[0].max_machine_words == 123
+    def test_machine_loads_are_required(self):
+        ctx = MPCContext(Cluster(2, 1000))
+        with pytest.raises(TypeError):
+            ctx.parallel_round("a")  # type: ignore[call-arg]
 
     def test_strict_memory_violation_raises(self):
         ctx = MPCContext(Cluster(2, 100), strict=True)
@@ -79,15 +86,6 @@ class TestGatherToCentral:
         ctx = MPCContext(Cluster(4, 100))
         with pytest.raises(MemoryExceededError):
             ctx.gather_to_central(101, "too big")
-
-    def test_central_budget_includes_existing_state(self):
-        import numpy as np
-
-        cluster = Cluster(4, 100)
-        cluster.central.put("state", np.zeros(60))
-        ctx = MPCContext(cluster)
-        with pytest.raises(MemoryExceededError):
-            ctx.gather_to_central(50, "overflow on top of state")
 
     def test_separate_central_memory(self):
         cluster = Cluster(4, 100, central_memory=10_000)
@@ -129,7 +127,7 @@ class TestBroadcastAndAggregate:
 class TestLifecycle:
     def test_finish_returns_metrics_with_notes(self):
         ctx = MPCContext(Cluster(2, 100), algorithm="alg")
-        ctx.parallel_round("r")
+        ctx.parallel_round("r", machine_loads=1)
         metrics = ctx.finish(n=10, mu=0.5)
         assert metrics.algorithm == "alg"
         assert metrics.notes["n"] == 10
@@ -139,7 +137,7 @@ class TestLifecycle:
         ctx = MPCContext(Cluster(2, 100))
         ctx.finish()
         with pytest.raises(ProtocolError):
-            ctx.parallel_round("late")
+            ctx.parallel_round("late", machine_loads=1)
         with pytest.raises(ProtocolError):
             ctx.finish()
 

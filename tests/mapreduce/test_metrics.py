@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.mapreduce import RunMetrics, merge_metrics
+from repro.mapreduce import RunMetrics
 
 
 class TestRoundRecording:
@@ -55,52 +55,3 @@ class TestRoundRecording:
         assert summary["rounds"] == 1
         assert summary["max_space_per_machine"] == 3
 
-
-class TestExtendAndMerge:
-    def test_extend_reindexes(self):
-        a = RunMetrics()
-        a.record_round("a1")
-        b = RunMetrics()
-        b.record_round("b1")
-        b.record_round("b2")
-        a.extend(b)
-        assert a.num_rounds == 3
-        assert [r.index for r in a] == [0, 1, 2]
-
-    def test_merge_metrics(self):
-        a = RunMetrics()
-        a.record_round("a", words_communicated=5)
-        b = RunMetrics()
-        b.record_round("b", words_communicated=7)
-        merged = merge_metrics([a, b], algorithm="combined")
-        assert merged.algorithm == "combined"
-        assert merged.num_rounds == 2
-        assert merged.total_communication == 12
-
-    def test_merge_preserves_notes(self):
-        # Regression: merge_metrics used to drop notes entirely, so composed
-        # protocols lost e.g. notes["sampling_iterations"] and figure1 KeyErrored.
-        m = RunMetrics(algorithm="sub")
-        m.record_round("r")
-        m.notes["sampling_iterations"] = 7
-        merged = merge_metrics([m])
-        assert merged.notes == {"sampling_iterations": 7}
-
-    def test_merge_notes_first_wins(self):
-        a = RunMetrics()
-        a.notes["sampling_iterations"] = 3
-        b = RunMetrics()
-        b.notes["sampling_iterations"] = 99
-        b.notes["sweeps"] = 2
-        merged = merge_metrics([a, b])
-        assert merged.notes == {"sampling_iterations": 3, "sweeps": 2}
-
-    def test_extend_merges_notes_without_touching_existing(self):
-        a = RunMetrics()
-        a.notes["key"] = "mine"
-        b = RunMetrics()
-        b.notes["key"] = "theirs"
-        b.notes["other"] = 1
-        a.extend(b)
-        assert a.notes == {"key": "mine", "other": 1}
-        assert b.notes == {"key": "theirs", "other": 1}  # source untouched

@@ -5,29 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.mapreduce import (
-    balanced_partition,
-    hash_partition,
-    num_machines_for,
-    partition_counts,
-    random_partition,
-)
+from repro.mapreduce import balanced_partition, random_partition
 
 
-class TestNumMachinesFor:
-    def test_exact_division(self):
-        assert num_machines_for(100, 10) == 10
-
-    def test_rounds_up(self):
-        assert num_machines_for(101, 10) == 11
-
-    def test_at_least_one_machine(self):
-        assert num_machines_for(0, 10) == 1
-        assert num_machines_for(3, 10) == 1
-
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            num_machines_for(10, 0)
+def partition_counts(assignment: np.ndarray, num_machines: int) -> np.ndarray:
+    """Items per machine, padded to ``num_machines``."""
+    return np.bincount(assignment, minlength=num_machines)
 
 
 class TestBalancedPartition:
@@ -79,49 +62,6 @@ class TestRandomPartition:
             random_partition(10, 0, rng)
 
 
-class TestHashPartition:
-    def test_deterministic(self):
-        keys = np.arange(1000)
-        np.testing.assert_array_equal(hash_partition(keys, 7), hash_partition(keys, 7))
-
-    def test_range(self):
-        assign = hash_partition(np.arange(1000), 9)
-        assert assign.min() >= 0 and assign.max() < 9
-
-    def test_spreads_consecutive_keys(self):
-        counts = partition_counts(hash_partition(np.arange(9000), 9), 9)
-        assert counts.min() > 0
-
-    def test_invalid_machine_count(self):
-        with pytest.raises(ValueError):
-            hash_partition([1, 2, 3], 0)
-
-    def test_negative_keys_accepted(self):
-        # Regression: negative Python ints used to raise
-        # ``OverflowError: Python integer -1 out of bounds for uint64``.
-        assign = hash_partition([-1, -2, 0, 3], 4)
-        assert assign.shape == (4,)
-        assert assign.min() >= 0 and assign.max() < 4
-
-    def test_negative_keys_match_twos_complement(self):
-        # A signed key partitions like its 64-bit two's-complement pattern,
-        # so signed and unsigned views of the same bits agree.
-        signed = np.array([-1, -5, 7], dtype=np.int64)
-        unsigned = signed.view(np.uint64)
-        np.testing.assert_array_equal(
-            hash_partition(signed, 6), hash_partition(unsigned, 6)
-        )
-
-    def test_negative_list_matches_negative_array(self):
-        keys = [-9, -1, 0, 1, 2**40]
-        np.testing.assert_array_equal(
-            hash_partition(keys, 5), hash_partition(np.array(keys, dtype=np.int64), 5)
-        )
-
-    def test_empty_keys(self):
-        assert hash_partition([], 4).size == 0
-
-
 class TestEdgeCases:
     """Degenerate shapes the distributed layer actually produces."""
 
@@ -129,7 +69,6 @@ class TestEdgeCases:
         for assign in (
             balanced_partition(0, 3),
             random_partition(0, 3, rng),
-            hash_partition([], 3),
         ):
             assert assign.size == 0
             counts = partition_counts(assign, 3)
@@ -139,7 +78,6 @@ class TestEdgeCases:
         for assign in (
             balanced_partition(9, 1),
             random_partition(9, 1, rng),
-            hash_partition(np.arange(9), 1),
         ):
             np.testing.assert_array_equal(assign, np.zeros(9, dtype=np.int64))
         np.testing.assert_array_equal(partition_counts(balanced_partition(9, 1), 1), [9])
@@ -160,20 +98,6 @@ class TestEdgeCases:
             (where,) = np.nonzero(assign == machine)
             if where.size:
                 assert where.max() - where.min() + 1 == where.size
-
-    def test_partition_counts_pads_to_num_machines(self):
-        counts = partition_counts(np.array([0, 0, 1], dtype=np.int64), 5)
-        np.testing.assert_array_equal(counts, [2, 1, 0, 0, 0])
-        counts = partition_counts(np.empty(0, dtype=np.int64), 4)
-        np.testing.assert_array_equal(counts, [0, 0, 0, 0])
-
-    def test_num_machines_for_degenerate_inputs(self):
-        assert num_machines_for(0, 1) == 1
-        assert num_machines_for(1, 10**9) == 1
-        assert num_machines_for(10**9, 1) == 10**9
-        with pytest.raises(ValueError):
-            num_machines_for(5, -1)
-
 
 class TestPartitionProperties:
     """Property-style invariants over many (num_items, num_machines) shapes."""
@@ -197,18 +121,10 @@ class TestPartitionProperties:
         for assign in (
             balanced_partition(num_items, num_machines),
             random_partition(num_items, num_machines, rng),
-            hash_partition(np.arange(num_items) - num_items // 2, num_machines),
         ):
             counts = partition_counts(assign, num_machines)
             assert counts.shape == (num_machines,)
             assert counts.sum() == num_items
-
-    @pytest.mark.parametrize("num_items,num_machines", SHAPES)
-    def test_hash_partition_stable_across_calls(self, num_items, num_machines):
-        keys = np.arange(num_items, dtype=np.int64) * 37 - 11
-        np.testing.assert_array_equal(
-            hash_partition(keys, num_machines), hash_partition(keys.copy(), num_machines)
-        )
 
     @pytest.mark.parametrize("num_items,num_machines", SHAPES)
     def test_random_partition_assigns_valid_machines(self, num_items, num_machines, rng):

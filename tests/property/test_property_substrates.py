@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import Graph, is_matching, is_vertex_cover
-from repro.mapreduce import Machine, balanced_partition, partition_counts, tree_rounds, words_of
+from repro.mapreduce import balanced_partition, tree_rounds
 from repro.setcover import SetCoverInstance
 
 
@@ -53,28 +53,11 @@ def set_cover_instances(draw, max_sets: int = 8, max_elements: int = 10):
     return SetCoverInstance(sets, weights, num_elements=m)
 
 
-# --------------------------------------------------------------------------- #
-# words_of / Machine
-# --------------------------------------------------------------------------- #
-class TestWordAccountingProperties:
-    @given(st.lists(st.integers(-1000, 1000), max_size=50))
-    def test_list_cost_equals_length(self, values):
-        assert words_of(values) == len(values)
-
-    @given(st.integers(1, 500), st.integers(1, 500))
-    def test_machine_put_then_pop_is_neutral(self, size, limit):
-        machine = Machine(0, memory_limit=max(size, limit))
-        machine.put("k", np.zeros(size))
-        machine.pop("k")
-        assert machine.words_used == 0
-        assert machine.peak_words == size
-
-
 class TestPartitionProperties:
     @given(st.integers(0, 500), st.integers(1, 20))
     def test_balanced_partition_is_balanced_and_complete(self, items, machines):
         assign = balanced_partition(items, machines)
-        counts = partition_counts(assign, machines)
+        counts = np.bincount(assign, minlength=machines)
         assert counts.sum() == items
         assert counts.max() - counts.min() <= 1
 

@@ -9,8 +9,6 @@ so a newly registered algorithm is covered automatically.
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 import repro
@@ -122,34 +120,6 @@ class TestConformance:
     def test_params_must_be_a_mapping(self):
         with pytest.raises(ValueError, match="mapping"):
             get_algorithm("mis").validate_params([1, 2])  # type: ignore[arg-type]
-
-
-class TestDeprecatedViews:
-    def test_figure1_experiments_view_matches_registry(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            from repro.experiments.figure1 import FIGURE1_EXPERIMENTS
-
-            assert dict(FIGURE1_EXPERIMENTS) == {
-                spec.experiment: spec.solver for spec in iter_algorithms()
-            }
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-
-    def test_service_algorithms_view_matches_registry(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            from repro.service.api import ALGORITHMS
-
-            assert dict(ALGORITHMS) == {
-                spec.name: spec.experiment for spec in iter_algorithms()
-            }
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-
-    def test_views_are_read_only(self):
-        from repro.experiments.figure1 import FIGURE1_EXPERIMENTS
-
-        with pytest.raises(TypeError):
-            FIGURE1_EXPERIMENTS["fig1-new"] = lambda rng: None  # type: ignore[index]
 
 
 class TestRegressions:
