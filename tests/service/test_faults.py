@@ -217,8 +217,8 @@ class TestWorkerFaults:
 
 class TestBackpressure:
     def test_overload_sheds_with_429_and_retry_after(self):
-        # max_queue=1: the second concurrent request must be shed, not
-        # queued without bound.
+        # max_queue=1: while one request executes, further concurrent
+        # requests must be shed, not queued without bound.
         with start_in_background(
             backend="serial",
             max_batch=1,
@@ -227,6 +227,18 @@ class TestBackpressure:
             max_queue=1,
         ) as handle:
             _assert_alive(handle.port)
+            # Hold the first batch inside the executor until the rest have
+            # been answered, so the overload does not depend on how fast
+            # one solve happens to run.
+            batcher = handle.service.batcher
+            execute = batcher._execute
+            release = threading.Event()
+
+            def held_execute(points):
+                release.wait(timeout=60)
+                return execute(points)
+
+            batcher._execute = held_execute
             slow = {"algorithm": "mis", "params": {"n": 120, "c": 0.4}, "seed": 1}
             statuses: list[tuple[int, dict]] = []
             lock = threading.Lock()
@@ -240,10 +252,16 @@ class TestBackpressure:
                 threading.Thread(target=hit, args=({**slow, "seed": seed},))
                 for seed in range(8)
             ]
-            for thread in threads:
+            threads[0].start()
+            deadline = time.monotonic() + 30
+            while batcher.queue_depth() < 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            for thread in threads[1:]:
                 thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
+            for thread in threads[1:]:
+                thread.join(timeout=60)
+            release.set()
+            threads[0].join(timeout=120)
             codes = sorted(status for status, _ in statuses)
             assert 429 in codes, f"nothing was shed: {codes}"
             assert all(status in (200, 429) for status in codes), codes
